@@ -8,8 +8,8 @@ use every core.  This module is the *scheduler* over that idea; the
 mechanics live in :mod:`repro.core.fleet`:
 
 * :func:`validate_batch` dispatches path-chunks over a
-  :class:`~repro.core.fleet.WorkerFleet` — a resident worker pool with
-  work-stealing, bounded in-flight backpressure, and zero-copy
+  :class:`~repro.core.fleet.WorkerFleet` — a resident worker pool that
+  hands each chunk to whichever worker frees up, with zero-copy
   compiled-pair transport (the pair bytes materialize at most once per
   fleet, regardless of worker count).  Pass your own ``fleet`` to reuse
   one pool across many batch calls; otherwise a transient fleet is
@@ -31,9 +31,10 @@ Fault tolerance is the batch contract, preserved on the new scheduler:
   deadlines), ``OSError``, and unexpected bugs alike — and report them
   through :attr:`DocumentResult.error`.
 * **Worker death is survivable.**  A dead worker costs only the
-  unreported documents of the chunk it had claimed; those re-run in a
-  serial quarantine that names the crashing document exactly, while a
-  replacement worker keeps the fleet at full width.
+  document it was validating: a replacement spawns at once, the first
+  unreported document of its chunk re-runs alone on the fresh worker
+  (naming the crashing document exactly), and the rest of the chunk is
+  dispatched again.
 * **Per-document budgets.**  ``limits`` (ambient defaults when
   ``None``) bound each document's size, depth, entity expansions, and —
   via ``deadline_seconds`` — wall-clock time.

@@ -13,13 +13,12 @@ bounded by pool spin-up and per-future dispatch, not by the pair-DFA.
   corpora; the pool (and each worker's lazily built validator, symbol
   table, and verdict memo) is paid for once per fleet, not once per
   call.
-* **Chunked work-stealing.**  The parent shards the corpus into
-  path-chunks on a shared queue; idle workers pull the next chunk
-  themselves.  Dispatch cost is per *chunk*, and a fast worker
-  naturally steals more chunks than a slow one.
-* **Bounded in-flight backpressure.**  At most ``max_inflight_chunks``
-  chunks sit on the queue at a time, so a million-document run keeps
-  O(jobs · chunk) paths in IPC buffers, never the whole corpus.
+* **Chunked dispatch to whichever worker frees up.**  The parent
+  shards the corpus into path-chunks and sends the next one down the
+  pipe of each worker that goes idle.  Dispatch cost is per *chunk*,
+  and a fast worker naturally takes more chunks than a slow one.  Each
+  worker holds at most one chunk, so IPC buffers hold O(jobs · chunk)
+  paths, never the whole corpus.
 * **Zero-copy pair transport.**  The compiled pair reaches workers by
   the cheapest route the platform offers, and the pickled pair bytes
   materialize **at most once per fleet** — counted by
@@ -36,13 +35,14 @@ bounded by pool spin-up and per-future dispatch, not by the pair-DFA.
   - if shared memory is unavailable, a persisted artifact path (a few
     bytes) or the single pickled blob rides the worker arguments.
 
-The fault-tolerance contract of the old driver is preserved on the new
-scheduler: per-document errors never abort the batch, a dead worker
-costs only the unreported documents of its claimed chunk (re-run in a
-serial quarantine that names the culprit exactly, while a replacement
-worker keeps the fleet at full width), transient ``OSError`` retries
-are bounded, and ``KeyboardInterrupt`` kills the fleet without waiting
-on stuck workers.
+Workers run on :class:`~repro.core.supervisor.JobPool`, one pipe per
+worker, so the parent always knows which chunk each worker holds and
+how far it got.  Per-document errors never abort the batch.  A dead
+worker is replaced at once (within the supervisor's death budget); the
+first document it still owed re-runs alone on a fresh worker, which
+names the culprit exactly, and the rest of its chunk is dispatched
+again.  Transient ``OSError`` retries are bounded, and
+``KeyboardInterrupt`` kills the fleet without waiting on stuck workers.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ import itertools
 import multiprocessing
 import os
 import pickle
-import queue as queue_module
 import struct
 import time
 from collections import deque
@@ -60,6 +59,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.memo import ValidationMemo
 from repro.core.result import ValidationStats
+from repro.core.supervisor import JobPool
 from repro.errors import (
     WORKER_CRASH_CODE,
     BatchError,
@@ -461,35 +461,19 @@ def _validate_document(
         )
 
 
-def _fleet_worker_main(worker_id, task_queue, result_queue, route, config):
-    """A resident worker: pull chunks until the ``None`` sentinel.
-
-    Message protocol (worker → parent):
-
-    * ``("claim", worker_id, chunk_id)`` — the chunk left the queue;
-    * ``("doc", worker_id, chunk_id, index, result, stats)`` — one
-      document of the chunk finished;
-    * ``("done", worker_id, chunk_id)`` — every document reported.
-
-    The claim message is what makes worker death recoverable: the
-    parent knows which chunk a dead worker held and which of its
-    documents were never reported.
-    """
+def _fleet_worker_main(conn, route, config):
+    """A resident worker: validate the chunks sent down its pipe, one
+    ``(result, stats)`` reply per document in chunk order, until the
+    ``None`` stop message (or the parent's end closes)."""
     state = _WorkerState(route, config)
     try:
         while True:
-            item = task_queue.get()
-            if item is None:
+            paths = conn.recv()
+            if paths is None:
                 return
-            chunk_id, paths = item
-            result_queue.put(("claim", worker_id, chunk_id))
-            for index, path in enumerate(paths):
-                result, stats = _validate_document(state, path)
-                result_queue.put(
-                    ("doc", worker_id, chunk_id, index, result, stats)
-                )
-            result_queue.put(("done", worker_id, chunk_id))
-    except (KeyboardInterrupt, SystemExit):  # pragma: no cover - teardown
+            for path in paths:
+                conn.send(_validate_document(state, path))
+    except (EOFError, OSError, KeyboardInterrupt, SystemExit):
         return
 
 
@@ -507,14 +491,20 @@ def run_serial(
         on_result(*_validate_document(state, path))
 
 
-def _crash_result(path: str) -> DocumentResult:
+def _crash_result(path: str, error: str) -> DocumentResult:
     return DocumentResult(
         path,
         valid=False,
-        error="worker process died while validating this document",
+        error=error,
         error_type="WorkerCrash",
         error_code=WORKER_CRASH_CODE,
     )
+
+
+#: A worker died while this document was the next one it owed.
+DIED = "worker process died while validating this document"
+#: Every worker is dead and the death budget forbids replacements.
+NO_WORKER = "no live worker left to validate this document"
 
 
 # -- the fleet ---------------------------------------------------------------
@@ -526,6 +516,18 @@ def _auto_chunk_size(path_count: int, jobs: int) -> int:
     return max(1, min(64, path_count // (jobs * 4)))
 
 
+class _Chunk:
+    """The paths one worker holds and how many it has reported."""
+
+    __slots__ = ("paths", "done", "solo")
+
+    def __init__(self, paths: list[str], solo: bool = False):
+        self.paths = paths
+        self.done = 0
+        #: A crash suspect running alone on a fresh worker.
+        self.solo = solo
+
+
 class WorkerFleet:
     """A resident pool of validation workers bound to one schema pair.
 
@@ -533,12 +535,10 @@ class WorkerFleet:
     done (or use it as a context manager).  Worker processes, the
     transported pair, and per-worker memos all persist across calls —
     that persistence is the warm-pool speedup the fleet benchmark
-    gates.
+    gates.  Workers run on :class:`~repro.core.supervisor.JobPool`, so
+    each one holds at most one chunk and ``max_inflight_chunks`` has
+    nothing left to bound; it is accepted and ignored.
     """
-
-    #: Seconds without progress (after a crash) before the stall sweep
-    #: reclaims chunks lost in the pop-to-claim window of a dead worker.
-    stall_grace = 2.0
 
     def __init__(
         self,
@@ -559,85 +559,48 @@ class WorkerFleet:
         self.jobs = jobs
         self.config = (config or FleetConfig()).resolved()
         self._chunk_size = chunk_size
-        self._max_inflight = max_inflight_chunks or max(2 * jobs, 4)
-        self._ctx = multiprocessing.get_context(start_method)
+        ctx = multiprocessing.get_context(start_method)
         if warm:
             pair.warm()
         self.transport = PairTransport(
-            pair, self._ctx.get_start_method(), artifact_path
+            pair, ctx.get_start_method(), artifact_path
         )
-        self._task_queue = self._ctx.Queue()
-        self._result_queue = self._ctx.Queue()
-        self._workers: dict[int, object] = {}
-        self._worker_seq = itertools.count(1)
-        self._chunk_seq = itertools.count(1)
+        self._pool = JobPool(
+            ctx,
+            _fleet_worker_main,
+            jobs,
+            (self.transport.route, self.config),
+            name="repro-fleet",
+        )
         self._closed = False
         #: Batches completed and chunks dispatched over the fleet's
         #: lifetime (observability + the warm-reuse benchmark).
         self.batches_run = 0
         self.chunks_dispatched = 0
-        for _ in range(jobs):
-            self._spawn_worker()
+        self._pool.start()
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _spawn_worker(self) -> int:
-        worker_id = next(self._worker_seq)
-        process = self._ctx.Process(
-            target=_fleet_worker_main,
-            args=(
-                worker_id,
-                self._task_queue,
-                self._result_queue,
-                self.transport.route,
-                self.config,
-            ),
-            daemon=True,
-        )
-        process.start()
-        self._workers[worker_id] = process
-        return worker_id
+    @property
+    def _workers(self) -> dict:
+        """Live worker processes by slot."""
+        return self._pool.supervisor.processes
 
     def close(self) -> None:
-        """Retire the fleet: drain workers, release the transport."""
-        if self._closed:
-            return
-        self._closed = True
-        for _ in self._workers:
-            try:
-                self._task_queue.put_nowait(None)
-            except Exception:
-                break
-        for process in self._workers.values():
-            process.join(timeout=2.0)
-        for process in self._workers.values():
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=0.5)
-        self._workers.clear()
-        self._release_queues()
-        self.transport.close()
+        """Retire the fleet: stop workers, release the transport."""
+        self._shutdown(grace=2.0)
 
     def kill(self) -> None:
         """Immediate teardown (KeyboardInterrupt): no waiting on stuck
-        workers, no queue draining."""
+        workers."""
+        self._shutdown(grace=0.0)
+
+    def _shutdown(self, grace: float) -> None:
         if self._closed:
             return
         self._closed = True
-        for process in self._workers.values():
-            if process.is_alive():
-                process.terminate()
-        self._workers.clear()
-        self._release_queues()
+        self._pool.stop(grace)
         self.transport.close()
-
-    def _release_queues(self) -> None:
-        for q in (self._task_queue, self._result_queue):
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except Exception:
-                pass
 
     def __enter__(self) -> "WorkerFleet":
         return self
@@ -660,233 +623,68 @@ class WorkerFleet:
         (in completion order, not path order) — the batch driver uses
         it to merge stats and append the checkpoint journal
         incrementally, so an interrupt never loses finished work.
+
+        Chunks go to whichever worker is idle.  When a worker dies, the
+        first document it still owed is re-run alone on a fresh
+        replacement — a second death names it as the culprit — and the
+        rest of its chunk is dispatched again.  Once the death budget
+        is spent and no worker is left, the remaining documents report
+        ``WorkerCrash`` instead.
         """
         if self._closed:
             raise BatchError("worker fleet is closed")
         paths = list(paths)
-        if not paths:
-            self.batches_run += 1
-            return
         size = self._chunk_size or _auto_chunk_size(len(paths), self.jobs)
-        chunks: dict[int, dict] = {}
-        pending: deque[int] = deque()
-        for start in range(0, len(paths), size):
-            chunk_id = next(self._chunk_seq)
-            chunks[chunk_id] = {
-                "paths": paths[start : start + size],
-                "claimed": None,
-                "reported": set(),
-            }
-            pending.append(chunk_id)
-        inflight: set[int] = set()
-        done: set[int] = set()
-        suspects: list[str] = []
-        crash_seen = False
-        deaths_without_sign_of_life = 0
-        death_budget = max(2 * self.jobs, 4)
-        last_progress = time.monotonic()
-
-        def refill() -> None:
-            while pending and len(inflight) < self._max_inflight:
-                chunk_id = pending.popleft()
-                self._task_queue.put((chunk_id, chunks[chunk_id]["paths"]))
-                inflight.add(chunk_id)
-                self.chunks_dispatched += 1
-
-        def finish(chunk_id: int) -> None:
-            done.add(chunk_id)
-            inflight.discard(chunk_id)
-            refill()
-
-        def handle(message) -> None:
-            kind = message[0]
-            if kind == "claim":
-                chunks[message[2]]["claimed"] = message[1]
-            elif kind == "doc":
-                _, _, chunk_id, index, result, stats = message
-                state = chunks[chunk_id]
-                if index not in state["reported"]:
-                    state["reported"].add(index)
-                    on_result(result, stats)
-            elif kind == "done":
-                if message[2] not in done:
-                    finish(message[2])
-
-        def reap_dead() -> list[int]:
-            return [
-                worker_id
-                for worker_id, process in self._workers.items()
-                if not process.is_alive()
-            ]
-
-        refill()
+        pending = deque(
+            paths[start : start + size]
+            for start in range(0, len(paths), size)
+        )
+        self.chunks_dispatched += len(pending)
+        pool = self._pool
         try:
-            while len(done) < len(chunks):
-                try:
-                    message = self._result_queue.get(timeout=0.1)
-                except queue_module.Empty:
-                    dead = reap_dead()
-                    if dead:
-                        crash_seen = True
-                        # Pick up everything the dead worker managed to
-                        # report before dying, then bury it.
-                        self._drain(handle)
-                        deaths_without_sign_of_life += len(dead)
-                        for worker_id in dead:
-                            self._workers.pop(worker_id, None)
-                            for chunk_id, state in chunks.items():
-                                if (
-                                    state["claimed"] == worker_id
-                                    and chunk_id not in done
-                                ):
-                                    suspects.extend(
-                                        path
-                                        for index, path in enumerate(
-                                            state["paths"]
-                                        )
-                                        if index not in state["reported"]
-                                    )
-                                    finish(chunk_id)
-                        if deaths_without_sign_of_life > death_budget:
-                            # Workers cannot even start (broken
-                            # environment, unloadable pair): stop
-                            # respawning, reclaim the queue, and let
-                            # quarantine blame each document.
-                            self._recover_unclaimed()
-                            for chunk_id, state in chunks.items():
-                                if chunk_id not in done:
-                                    suspects.extend(
-                                        path
-                                        for index, path in enumerate(
-                                            state["paths"]
-                                        )
-                                        if index not in state["reported"]
-                                    )
-                                    finish(chunk_id)
-                        else:
-                            for _ in dead:
-                                self._spawn_worker()
-                        last_progress = time.monotonic()
-                    elif (
-                        crash_seen
-                        and time.monotonic() - last_progress
-                        > self.stall_grace
+            while True:
+                for worker in pool.idle():
+                    if not pending:
+                        break
+                    chunk = pending.popleft()
+                    if not pool.send(worker, _Chunk(chunk), chunk):
+                        pending.appendleft(chunk)
+                workers = pool.workers.values()
+                if not any(w.job or w.closed for w in workers):
+                    # Nothing is running and no replacement can come:
+                    # whatever is left has no worker to run it.
+                    for chunk in pending:
+                        for path in chunk:
+                            on_result(_crash_result(path, NO_WORKER), None)
+                    break
+                messages, deaths, _ = pool.wait()
+                for worker, (result, stats) in messages:
+                    job = worker.job
+                    job.done += 1
+                    if job.done == len(job.paths):
+                        worker.job = None
+                    pool.progress()
+                    on_result(result, stats)
+                for worker in deaths:
+                    fresh = pool.replace(worker)
+                    job = worker.job
+                    if job is None:
+                        continue
+                    culprit, *rest = job.paths[job.done :]
+                    if rest:
+                        pending.appendleft(rest)
+                    # The culprit re-runs alone on the replacement; a
+                    # second death (or no replacement) names it.
+                    if (
+                        job.solo
+                        or fresh is None
+                        or not pool.send(fresh, _Chunk([culprit], True),
+                                         [culprit])
                     ):
-                        # Backstop for the tiny pop-to-claim window: a
-                        # worker died between taking a chunk off the
-                        # queue and announcing the claim.  Recover what
-                        # is still queued; whatever is neither queued
-                        # nor claimed is lost — quarantine it.
-                        requeued = self._recover_unclaimed()
-                        recovered_ids = set()
-                        for chunk_id, chunk_paths in requeued:
-                            recovered_ids.add(chunk_id)
-                            if chunk_id not in done:
-                                self._task_queue.put(
-                                    (chunk_id, chunk_paths)
-                                )
-                        for chunk_id, state in chunks.items():
-                            if (
-                                chunk_id not in done
-                                and state["claimed"] is None
-                                and chunk_id not in recovered_ids
-                            ):
-                                suspects.extend(
-                                    path
-                                    for index, path in enumerate(
-                                        state["paths"]
-                                    )
-                                    if index not in state["reported"]
-                                )
-                                finish(chunk_id)
-                        last_progress = time.monotonic()
-                    continue
-                last_progress = time.monotonic()
-                deaths_without_sign_of_life = 0
-                handle(message)
-        except KeyboardInterrupt:
+                        on_result(_crash_result(culprit, DIED), None)
+        except BaseException:
+            # Workers may still hold chunks of this batch; their replies
+            # must never reach a later one.
             self.kill()
             raise
-        if suspects:
-            self._quarantine(suspects, on_result)
         self.batches_run += 1
-
-    def _drain(self, handle) -> None:
-        while True:
-            try:
-                handle(self._result_queue.get_nowait())
-            except queue_module.Empty:
-                return
-
-    def _recover_unclaimed(self) -> list[tuple[int, list[str]]]:
-        recovered = []
-        while True:
-            try:
-                item = self._task_queue.get_nowait()
-            except queue_module.Empty:
-                return recovered
-            if item is not None:
-                recovered.append(item)
-
-    # -- quarantine ---------------------------------------------------------
-
-    def _quarantine(self, paths: list[str], on_result: ResultSink) -> None:
-        """Serial re-run of crash-suspect paths, one fresh single-doc
-        worker chain at a time: a repeat crash blames the in-flight
-        document exactly; the survivors continue."""
-        remaining = sorted(paths)
-        while remaining:
-            remaining = self._quarantine_round(remaining, on_result)
-
-    def _quarantine_round(
-        self, paths: list[str], on_result: ResultSink
-    ) -> list[str]:
-        task_queue = self._ctx.Queue()
-        result_queue = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=_fleet_worker_main,
-            args=(0, task_queue, result_queue,
-                  self.transport.route, self.config),
-            daemon=True,
-        )
-        process.start()
-        try:
-            for index, path in enumerate(paths):
-                task_queue.put((next(self._chunk_seq), [path]))
-                outcome = None
-                finished = False
-                while not finished:
-                    try:
-                        message = result_queue.get(timeout=0.05)
-                    except queue_module.Empty:
-                        if not process.is_alive():
-                            break
-                        continue
-                    if message[0] == "doc":
-                        outcome = (message[4], message[5])
-                    elif message[0] == "done":
-                        finished = True
-                if outcome is not None:
-                    # The document finished even if the worker died
-                    # right after (e.g. a crash during teardown).
-                    on_result(*outcome)
-                elif not finished:
-                    on_result(_crash_result(path), None)
-                if not finished:
-                    return paths[index + 1 :]
-            return []
-        finally:
-            try:
-                task_queue.put_nowait(None)
-            except Exception:
-                pass
-            process.join(timeout=1.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=0.5)
-            for q in (task_queue, result_queue):
-                try:
-                    q.close()
-                    q.cancel_join_thread()
-                except Exception:
-                    pass

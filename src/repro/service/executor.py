@@ -20,16 +20,18 @@ Design points, all inherited from :mod:`repro.core.fleet`:
   parent state.  Jobs carry their pair's route, so a worker resolves
   (and caches) pairs lazily — no broadcast is needed when the registry
   mutates.
-* **Crash recovery.**  A worker announces ``claim`` before running a
-  job; if it dies mid-job the submitting thread's backstop timer fires,
-  the corpse is reaped, a replacement spawns (bounded by a death
-  budget), and the request answers a structured 500 with code
-  ``worker-crash`` — never a hang, never a bare socket reset.
+* **Crash recovery.**  Workers run on the supervisor's
+  :class:`~repro.core.supervisor.JobPool`: each has its own pipe, so
+  the parent knows which request every worker holds.  When a worker
+  dies its sentinel fires at once: the request it held answers a
+  structured 500 with code ``worker-crash`` — never a hang, never a
+  bare socket reset — and a replacement spawns within the death
+  budget.
 * **Worker recycling.**  After ``max_requests`` jobs or once its RSS
-  exceeds ``max_rss_mb``, a worker finishes its current job, sends
-  ``retire``, and exits; the parent spawns a fresh replacement.  Leaky
-  or fragmented workers are rotated out gracefully using the same
-  respawn path as crash recovery.
+  exceeds ``max_rss_mb``, a worker finishes its current job, marks its
+  last reply ``retiring``, and exits; the parent spawns a fresh
+  replacement.  Leaky or fragmented workers are rotated out gracefully
+  using the same respawn path as crash recovery.
 
 Outcomes cross the process boundary as plain JSON — status, payload,
 ``Retry-After`` — computed worker-side by the same
@@ -41,14 +43,14 @@ objects never travel, which also sidesteps unpicklable errors).
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import threading
-import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.fleet import PairTransport, resolve_pair_route
+from repro.core.supervisor import JobPool
 from repro.errors import WORKER_CRASH_CODE
 from repro.guards import Limits
 from repro.service.registry import RegisteredPair
@@ -75,16 +77,17 @@ class WireOutcomeError(Exception):
         super().__init__(f"executor outcome {outcome.status}")
 
 
-def _crash_outcome() -> ExecutorOutcome:
+#: Every worker is dead and the death budget forbids replacements.
+NO_WORKER = "no live worker left to handle this request"
+
+
+def _crash_outcome(
+    message: str = "worker process died while handling this request",
+) -> ExecutorOutcome:
     return ExecutorOutcome(
         status=500,
         payload={
-            "error": {
-                "code": WORKER_CRASH_CODE,
-                "message": (
-                    "worker process died while handling this request"
-                ),
-            },
+            "error": {"code": WORKER_CRASH_CODE, "message": message},
             "diagnostics": [],
         },
     )
@@ -118,22 +121,17 @@ def _worker_should_retire(
 
 
 def _executor_worker_main(
-    worker_id: int,
-    task_queue,
-    result_queue,
+    conn,
     max_requests: Optional[int],
     max_rss_mb: Optional[float],
 ) -> None:
-    """A resident validation worker: pull jobs until the ``None``
-    sentinel (or self-retirement).
+    """A resident validation worker: answer the jobs sent down its pipe
+    until the ``None`` stop message (or self-retirement).
 
-    Protocol (worker → parent):
-
-    * ``("claim", worker_id, req_id)`` — the job left the queue;
-    * ``("res", worker_id, req_id, status, payload, retry_after)`` —
-      the job's wire-ready outcome;
-    * ``("retire", worker_id)`` — recycling threshold hit; the worker
-      exits after this message and the parent spawns a replacement.
+    Each job is ``(kind, name, fingerprint, route, limits, request)``;
+    each reply is ``(status, payload, retry_after, retiring)``.  A
+    worker that hits its recycling threshold sets ``retiring`` on its
+    last reply and returns; the parent spawns a replacement.
     """
     from repro.service.diagnostics import (
         error_payload,
@@ -146,11 +144,10 @@ def _executor_worker_main(
     served = 0
     try:
         while True:
-            item = task_queue.get()
-            if item is None:
+            job = conn.recv()
+            if job is None:
                 return
-            req_id, kind, name, fingerprint, route, limits, request = item
-            result_queue.put(("claim", worker_id, req_id))
+            kind, name, fingerprint, route, limits, request = job
             try:
                 pair = pairs.get(fingerprint)
                 if pair is None:
@@ -164,32 +161,29 @@ def _executor_worker_main(
                     pair_name=name,
                     fingerprint=fingerprint,
                 )
-                message = ("res", worker_id, req_id, 200, payload, None)
+                reply = (200, payload, None)
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as error:  # noqa: BLE001 — wire contract
-                message = (
-                    "res",
-                    worker_id,
-                    req_id,
+                reply = (
                     http_status(error),
                     error_payload(error),
                     retry_after(error),
                 )
-            result_queue.put(message)
             served += 1
-            if _worker_should_retire(served, max_requests, max_rss_mb):
-                result_queue.put(("retire", worker_id))
+            retiring = _worker_should_retire(served, max_requests, max_rss_mb)
+            conn.send((*reply, retiring))
+            if retiring:
                 return
-    except (KeyboardInterrupt, SystemExit):  # pragma: no cover - teardown
+    except (EOFError, OSError, KeyboardInterrupt, SystemExit):
         return
 
 
 @dataclass
 class _Pending:
+    job: tuple
     event: threading.Event = field(default_factory=threading.Event)
     outcome: Optional[ExecutorOutcome] = None
-    claimed_by: Optional[int] = None
 
 
 class FleetExecutor:
@@ -197,12 +191,16 @@ class FleetExecutor:
 
     Built once per service process after warm-up (the fork routes need
     the compiled pairs parked *before* the workers exist).  ``submit``
-    is thread-safe; a single collector thread files results back to the
-    waiting submitters.
+    is thread-safe.  Workers run on a
+    :class:`~repro.core.supervisor.JobPool`: a request goes straight to
+    an idle worker's pipe or waits in a parent-side queue, and one
+    supervising thread files replies back to the waiting submitters,
+    hands queued requests to workers as they free up, and replaces dead
+    workers the moment their sentinel fires.
     """
 
     #: Extra seconds past a request's residual deadline before the
-    #: submitter declares the worker hung/dead and reaps it.
+    #: submitter declares the worker hung and kills it.
     crash_grace = 2.0
 
     def __init__(
@@ -221,28 +219,27 @@ class FleetExecutor:
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else None
-        self._ctx = multiprocessing.get_context(start_method)
-        self._start_method = self._ctx.get_start_method()
-        self._task_queue = self._ctx.Queue()
-        self._result_queue = self._ctx.Queue()
+        ctx = multiprocessing.get_context(start_method)
+        self._start_method = ctx.get_start_method()
+        self._pool = JobPool(
+            ctx,
+            _executor_worker_main,
+            workers,
+            (max_requests_per_worker, max_worker_rss_mb),
+            name="repro-executor",
+        )
         self._transports: dict[str, PairTransport] = {}
         self._routes: dict[str, tuple] = {}
-        self._pending: dict[int, _Pending] = {}
-        self._processes: dict[int, object] = {}
+        self._waiting: deque[_Pending] = deque()
         self._lock = threading.Lock()
-        self._req_seq = itertools.count(1)
-        self._worker_seq = itertools.count(1)
+        self._wake_reader, self._wake_writer = ctx.Pipe(duplex=False)
         self._spawned = False
         self._closed = False
-        #: Replacement spawns remaining before the executor stops
-        #: covering for dying workers (a crash-looping pair must not
-        #: fork-bomb the box).
-        self.death_budget = max(2 * workers, 4)
         #: Observability: recycled + crashed worker counts.
         self.recycled = 0
         self.crashed = 0
-        self._collector = threading.Thread(
-            target=self._collect, name="repro-executor-collect", daemon=True
+        self._supervisor = threading.Thread(
+            target=self._supervise, name="repro-executor", daemon=True
         )
 
     # -- lifecycle ----------------------------------------------------------
@@ -266,57 +263,24 @@ class FleetExecutor:
         if self._spawned:
             raise RuntimeError("executor already started")
         self._spawned = True
-        for _ in range(self.workers):
-            self._spawn_worker()
-        self._collector.start()
-
-    def _spawn_worker(self) -> int:
-        worker_id = next(self._worker_seq)
-        process = self._ctx.Process(
-            target=_executor_worker_main,
-            args=(
-                worker_id,
-                self._task_queue,
-                self._result_queue,
-                self.max_requests_per_worker,
-                self.max_worker_rss_mb,
-            ),
-            daemon=True,
-        )
-        process.start()
-        self._processes[worker_id] = process
-        return worker_id
+        self._pool.start()
+        self._supervisor.start()
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
         with self._lock:
-            processes = dict(self._processes)
-            self._processes.clear()
-        for _ in processes:
-            try:
-                self._task_queue.put_nowait(None)
-            except Exception:
-                break
-        for process in processes.values():
-            process.join(timeout=2.0)
-        for process in processes.values():
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=0.5)
-        try:
-            self._result_queue.put(None)
-        except Exception:
-            pass
-        if self._collector.is_alive():
-            self._collector.join(timeout=2.0)
-        for q in (self._task_queue, self._result_queue):
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except Exception:
-                pass
+            if self._closed:
+                return
+            self._closed = True
+            pending = list(self._waiting) + [
+                w.job for w in self._pool.workers.values() if w.job
+            ]
+            self._waiting.clear()
+        if self._supervisor.is_alive():
+            self._wake_writer.send(None)
+            self._supervisor.join(timeout=2.0)
+        self._pool.stop()
+        self._wake_reader.close()
+        self._wake_writer.close()
         # Transports stay open for the executor's whole life (an
         # in-flight job may resolve its shm route at any moment); they
         # are released here, all at once.
@@ -324,12 +288,8 @@ class FleetExecutor:
             transport.close()
         self._transports.clear()
         # Unblock any submitter still waiting.
-        with self._lock:
-            pending = list(self._pending.values())
-            self._pending.clear()
         for item in pending:
-            item.outcome = _crash_outcome()
-            item.event.set()
+            self._answer(item, _crash_outcome())
 
     def __enter__(self) -> "FleetExecutor":
         return self
@@ -337,63 +297,74 @@ class FleetExecutor:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- result collection ---------------------------------------------------
+    # -- supervision ---------------------------------------------------------
 
-    def _collect(self) -> None:
+    def _supervise(self) -> None:
+        """File replies, replace dead workers, feed idle ones."""
+        pool = self._pool
         while True:
-            try:
-                message = self._result_queue.get()
-            except (EOFError, OSError):  # pragma: no cover - teardown
-                return
-            if message is None:
-                return
-            tag = message[0]
-            if tag == "claim":
-                _, worker_id, req_id = message
-                with self._lock:
-                    item = self._pending.get(req_id)
-                    if item is not None:
-                        item.claimed_by = worker_id
-            elif tag == "res":
-                _, worker_id, req_id, status, payload, hint = message
-                with self._lock:
-                    item = self._pending.pop(req_id, None)
-                if item is not None:
-                    item.outcome = ExecutorOutcome(status, payload, hint)
-                    item.event.set()
-            elif tag == "retire":
-                (_, worker_id) = message
-                self.recycled += 1
-                self._replace_worker(worker_id, reason="recycled")
-
-    def _replace_worker(self, worker_id: int, *, reason: str) -> None:
-        with self._lock:
-            process = self._processes.pop(worker_id, None)
-            if self._closed:
-                return
-            if reason == "crashed":
-                if self.death_budget <= 0:
+            ready, dead = pool.select((self._wake_reader,))
+            handoffs = []
+            with self._lock:
+                if self._closed:
                     return
-                self.death_budget -= 1
-        if process is not None:
-            process.join(timeout=2.0)
-            if process.is_alive():  # pragma: no cover - hung worker
-                process.terminate()
-                process.join(timeout=0.5)
-        self._spawn_worker()
+                messages, deaths, woken = pool.collect(ready, dead)
+                if woken:
+                    self._wake_reader.recv()
+                for worker, (status, payload, hint, retiring) in messages:
+                    item, worker.job = worker.job, None
+                    worker.retiring = retiring
+                    pool.progress()
+                    if item is not None:
+                        self._answer(
+                            item, ExecutorOutcome(status, payload, hint)
+                        )
+                for worker in deaths:
+                    if worker.retiring:
+                        self.recycled += 1
+                    else:
+                        self.crashed += 1
+                    try:
+                        pool.replace(worker)
+                    except OSError:
+                        pass  # fork failed: the pool shrinks
+                    if worker.job is not None:
+                        self._answer(worker.job, _crash_outcome())
+                if not pool.workers:
+                    # The budget is spent and nobody is left to run
+                    # the queue.
+                    for item in self._waiting:
+                        self._answer(item, _crash_outcome(NO_WORKER))
+                    self._waiting.clear()
+                for worker in pool.idle():
+                    if not self._waiting:
+                        break
+                    item = self._waiting.popleft()
+                    worker.job = item
+                    handoffs.append((worker, item))
+            for worker, item in handoffs:
+                self._deliver(worker, item)
 
-    def _reap_crashed(self) -> None:
-        """Bury any worker that died without saying goodbye and restore
-        pool width (bounded by the death budget)."""
+    def _deliver(self, worker, item: _Pending) -> None:
+        """Send a job reserved for ``worker``; a pipe that is already
+        dead hands the request back to the front of the queue."""
+        if self._pool.send(worker, item, item.job):
+            return
         with self._lock:
-            dead = [
-                wid
-                for wid, process in self._processes.items()
-                if not process.is_alive()
-            ]
-        for worker_id in dead:
-            self.crashed += 1
-            self._replace_worker(worker_id, reason="crashed")
+            if item.outcome is not None or self._closed:
+                return
+            self._waiting.appendleft(item)
+        # The supervising thread hands it to the next idle worker.
+        try:
+            self._wake_writer.send(None)
+        except OSError:
+            pass  # closed meanwhile; close() answers the queue
+
+    @staticmethod
+    def _answer(item: _Pending, outcome: ExecutorOutcome) -> None:
+        if item.outcome is None:
+            item.outcome = outcome
+            item.event.set()
 
     # -- submission ----------------------------------------------------------
 
@@ -411,10 +382,12 @@ class FleetExecutor:
 
         ``limits`` must already carry the residual deadline — the
         worker enforces it, so a slow validation answers 408 from the
-        far side.  The parent-side wait is only a *backstop* at
-        ``residual + crash_grace``: when it fires the claiming worker
-        is presumed dead, reaped, replaced, and the request answers a
-        structured ``worker-crash`` 500.
+        far side.  A worker that dies holding the request answers a
+        structured ``worker-crash`` 500 at once, and so does a request
+        that arrives when every worker is dead and the death budget is
+        spent.  The parent-side wait is only a *backstop* for a hung
+        worker: at ``residual + crash_grace`` the holder is killed and
+        the request answers ``worker-crash``.
         """
         if self._closed or not self._spawned:
             return _crash_outcome()
@@ -422,68 +395,61 @@ class FleetExecutor:
         if route is None:
             self.register_pair(entry)
             route = self._routes[entry.fingerprint]
-        self._reap_crashed()
-        req_id = next(self._req_seq)
-        item = _Pending()
-        with self._lock:
-            self._pending[req_id] = item
-        self._task_queue.put(
-            (
-                req_id,
-                kind,
-                entry.name,
-                entry.fingerprint,
-                route,
-                limits,
-                request,
-            )
+        item = _Pending(
+            (kind, entry.name, entry.fingerprint, route, limits, request)
         )
-        budget = max(residual_seconds, 0.1) + self.crash_grace
-        deadline = time.monotonic() + budget
-        while not item.event.wait(timeout=0.2):
-            if item.outcome is not None:
-                break
-            if time.monotonic() >= deadline:
-                return self._give_up(req_id, item)
-            # A worker that died holding this claim will never answer;
-            # notice early instead of riding out the whole backstop.
-            if item.claimed_by is not None:
-                with self._lock:
-                    process = self._processes.get(item.claimed_by)
-                if process is not None and not process.is_alive():
-                    return self._give_up(req_id, item)
-        return item.outcome or _crash_outcome()
-
-    def _give_up(self, req_id: int, item: _Pending) -> ExecutorOutcome:
+        worker = None
         with self._lock:
-            still_pending = self._pending.pop(req_id, None) is not None
-        if not still_pending and item.outcome is not None:
-            # The result raced the timeout — take it.
-            return item.outcome
-        worker_id = item.claimed_by
-        if worker_id is not None:
-            with self._lock:
-                process = self._processes.get(worker_id)
-            if process is not None:
-                if process.is_alive():
-                    process.terminate()
-                self.crashed += 1
-                self._replace_worker(worker_id, reason="crashed")
-        return _crash_outcome()
+            if self._closed:
+                return _crash_outcome()
+            if not self._pool.workers:
+                return _crash_outcome(NO_WORKER)
+            idle = self._pool.idle()
+            if idle:
+                worker = idle[0]
+                worker.job = item
+            else:
+                self._waiting.append(item)
+        if worker is not None:
+            self._deliver(worker, item)
+        budget = max(residual_seconds, 0.1) + self.crash_grace
+        if not item.event.wait(budget):
+            self._give_up(item)
+        return item.outcome
+
+    def _give_up(self, item: _Pending) -> None:
+        with self._lock:
+            if item.outcome is not None:
+                return  # the reply raced the backstop
+            if item in self._waiting:
+                self._waiting.remove(item)
+            holders = [
+                self._pool.supervisor.processes.get(worker.slot)
+                for worker in self._pool.workers.values()
+                if worker.job is item
+            ]
+            self._answer(item, _crash_outcome())
+        for process in holders:
+            # Hung: the supervising thread sees the death and replaces
+            # the worker.
+            try:
+                process.kill()
+            except (AttributeError, OSError, ValueError):
+                pass  # already reaped
 
     # -- observability -------------------------------------------------------
 
     def describe(self) -> dict:
+        supervisor = self._pool.supervisor
         with self._lock:
-            alive = sum(
-                1 for p in self._processes.values() if p.is_alive()
-            )
-        return {
-            "workers": self.workers,
-            "alive": alive,
-            "start_method": self._start_method,
-            "recycled": self.recycled,
-            "crashed": self.crashed,
-            "death_budget": self.death_budget,
-            "pairs_routed": len(self._routes),
-        }
+            return {
+                "workers": self.workers,
+                "alive": len(supervisor.processes),
+                "start_method": self._start_method,
+                "recycled": self.recycled,
+                "crashed": self.crashed,
+                # Replacements left before the pool stops covering
+                # deaths (refilled by every completed request).
+                "death_budget": supervisor.budget - supervisor.deaths,
+                "pairs_routed": len(self._routes),
+            }

@@ -37,14 +37,15 @@ per-child admission summaries into one line::
 
 ``lost`` must be zero — that is the PR 7 invariant, now fleet-wide.
 
-**Crash resilience**: a child that dies outside a drain is respawned
-(bounded by a crash budget); the respawn replays the shared
-:class:`~repro.service.reload.ReloadJournal` from offset zero, so it
-comes back knowing every hot-registered pair.
+**Crash resilience**: a child that dies outside a drain is respawned at
+once (within the supervisor's death budget); the respawn replays the
+shared :class:`~repro.service.reload.ReloadJournal` from offset zero,
+so it comes back knowing every hot-registered pair.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import socket
@@ -54,6 +55,7 @@ import time
 from dataclasses import replace
 from typing import Optional, Sequence
 
+from repro.core.supervisor import JobPool
 from repro.service.registry import PairSpec, ServiceRegistry
 from repro.service.server import ServiceConfig, ValidationService
 
@@ -81,14 +83,12 @@ def _reserve_port(host: str, port: int) -> tuple[socket.socket, int]:
 
 
 def _child_main(
-    index: int,
+    conn,
     registry: ServiceRegistry,
     config: ServiceConfig,
     host: str,
     port: int,
     listener: Optional[socket.socket],
-    ready_queue,
-    summary_queue,
 ) -> None:
     """One acceptor process: a complete ValidationService of its own.
 
@@ -98,9 +98,9 @@ def _child_main(
     copies are independent: hot reload mutates each child's registry
     separately, coordinated only through the journal.
 
-    Reports ``(index, port, warm_seconds)`` on ``ready_queue`` once
-    traffic-ready (or ``(index, -1, error_text)`` on a failed boot) and
-    its admission summary on ``summary_queue`` at exit.
+    Reports down its pipe: ``("ready", port, warm_seconds)`` once
+    traffic-ready (or ``("failed", error_text)`` on a failed boot), and
+    ``("drained", admitted, completed)`` at exit.
     """
     # The child must not inherit the parent's signal dispositions for
     # the drain window between fork and install_signal_handlers.
@@ -120,25 +120,24 @@ def _child_main(
                 f"warm-up failed: {service.warm_error or 'timeout'}"
             )
     except BaseException as error:  # noqa: BLE001 — reported to parent
-        ready_queue.put((index, -1, f"{type(error).__name__}: {error}"))
+        conn.send(("failed", f"{type(error).__name__}: {error}"))
         os._exit(1)
-    ready_queue.put((index, service.port, registry.warm_seconds))
+    conn.send(("ready", service.port, registry.warm_seconds))
     code = service.run_forever()
     stats = service.admission.stats
-    summary_queue.put((index, stats.admitted, stats.completed))
-    # Flush the queue's feeder thread before the hard exit, or the
-    # summary dies in the pickle buffer.
-    summary_queue.close()
-    summary_queue.join_thread()
+    conn.send(("drained", stats.admitted, stats.completed))
     # Skip interpreter teardown races with daemon handler threads.
     os._exit(code)
 
 
 class PreforkServer:
-    """The parent: spawns, watches, respawns, drains, aggregates."""
+    """The parent: spawns, watches, respawns, drains, aggregates.
 
-    #: Unexpected child deaths the parent will cover with respawns.
-    crash_budget = 4
+    Children run on the supervisor's
+    :class:`~repro.core.supervisor.JobPool`, each with its own report
+    pipe.  A child's boot is its job: its ready report counts as a
+    completed job for the death budget.
+    """
 
     def __init__(
         self,
@@ -152,8 +151,6 @@ class PreforkServer:
     ):
         if processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
-        import multiprocessing
-
         self.specs = list(specs)
         self.processes = processes
         self.host = host
@@ -171,15 +168,11 @@ class PreforkServer:
         else:
             self._own_journal = None
         self.config = config
-        self._ctx = multiprocessing.get_context("fork")
-        self._ready_queue = self._ctx.Queue()
-        self._summary_queue = self._ctx.Queue()
-        self._registry: Optional[ServiceRegistry] = None
-        self._children: dict[int, object] = {}
+        self._pool: Optional[JobPool] = None
         self._listener: Optional[socket.socket] = None
         self._reserve: Optional[socket.socket] = None
         self._draining = False
-        self._crashes = 0
+        self._failed = False
         self.port = port
         self.warm_seconds = 0.0
         #: Fleet-wide admission totals, filled at drain.
@@ -192,14 +185,12 @@ class PreforkServer:
     def start(self) -> tuple[str, int]:
         """Resolve the port, fork the children, wait until every child
         is traffic-ready.  Returns the bound ``(host, port)``."""
-        if self._children:
+        if self._pool is not None:
             raise RuntimeError("prefork server already started")
         # Compile once, fork many: children inherit the warmed pair
         # tables copy-on-write.
-        self._registry = ServiceRegistry(
-            self.specs, cache_dir=self.cache_dir
-        )
-        self.warm_seconds = self._registry.warm()
+        registry = ServiceRegistry(self.specs, cache_dir=self.cache_dir)
+        self.warm_seconds = registry.warm()
         if reuse_port_supported():
             self._reserve, self.port = _reserve_port(self.host, self.port)
         else:
@@ -212,9 +203,17 @@ class PreforkServer:
             listener.listen(128)
             self._listener = listener
             self.port = listener.getsockname()[1]
-        for index in range(self.processes):
-            self._spawn(index)
-        self._await_ready(self.processes)
+        self._pool = JobPool(
+            multiprocessing.get_context("fork"),
+            _child_main,
+            self.processes,
+            (registry, self.config, self.host, self.port, self._listener),
+            name="repro-serve",
+            # Children fork fleet workers of their own.
+            daemon=False,
+        )
+        self._pool.start()
+        self._await_ready()
         if self._reserve is not None:
             # Children hold the port now; the reservation has done its
             # job.
@@ -222,43 +221,39 @@ class PreforkServer:
             self._reserve = None
         return self.host, self.port
 
-    def _spawn(self, index: int) -> None:
-        process = self._ctx.Process(
-            target=_child_main,
-            args=(
-                index,
-                self._registry,
-                self.config,
-                self.host,
-                self.port,
-                self._listener,
-                self._ready_queue,
-                self._summary_queue,
-            ),
-            name=f"repro-serve-{index}",
-        )
-        process.start()
-        self._children[index] = process
-
-    def _await_ready(self, count: int, timeout: float = 180.0) -> None:
+    def _await_ready(self, timeout: float = 180.0) -> None:
         deadline = time.monotonic() + timeout
-        seen = 0
-        while seen < count:
+        booting = set(self._pool.workers)
+        while booting:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 self.kill()
                 raise RuntimeError("children failed to become ready")
-            try:
-                index, port, warm = self._ready_queue.get(
-                    timeout=min(remaining, 1.0)
-                )
-            except Exception:
-                continue
-            if port < 0:
+            messages, deaths, _ = self._pool.wait(timeout=remaining)
+            for worker, message in messages:
+                if message[0] == "failed":
+                    self.kill()
+                    raise RuntimeError(
+                        f"child {worker.slot} failed to boot: {message[1]}"
+                    )
+                self._report(worker, message)
+                booting.discard(worker.slot)
+            for worker in deaths:
                 self.kill()
-                raise RuntimeError(f"child {index} failed to boot: {warm}")
-            self.warm_seconds = max(self.warm_seconds, float(warm))
-            seen += 1
+                raise RuntimeError(
+                    f"child {worker.slot} died during boot "
+                    f"(code {worker.exitcode})"
+                )
+
+    def _report(self, worker, message) -> None:
+        kind, *fields = message
+        if kind == "ready":
+            self.warm_seconds = max(self.warm_seconds, float(fields[1]))
+            self._pool.progress()
+        elif kind == "drained":
+            self.summaries[worker.slot] = tuple(fields)
+            self.admitted = sum(a for a, _ in self.summaries.values())
+            self.completed = sum(c for _, c in self.summaries.values())
 
     def install_signal_handlers(self) -> None:
         """SIGTERM/SIGINT → fleet-wide drain (main thread only)."""
@@ -271,50 +266,38 @@ class PreforkServer:
 
     def begin_drain(self) -> None:
         """Forward the drain signal to every child.  Idempotent and
-        signal-safe (kill(2) is async-signal-safe; nothing here
-        allocates or locks)."""
+        signal-safe (kill(2) only; nothing here allocates or locks)."""
         if self._draining:
             return
         self._draining = True
-        for process in self._children.values():
-            if process.is_alive() and process.pid:
-                try:
-                    os.kill(process.pid, signal.SIGTERM)
-                except OSError:
-                    pass
+        if self._pool is not None:
+            self._pool.supervisor.signal(signal.SIGTERM)
 
     def run_forever(self) -> int:
         """Watch the fleet: respawn crashed children (bounded), wait
         out the drain, aggregate summaries.  Returns the exit code — 0
         only for a clean fleet-wide drain with zero lost requests."""
-        failed = False
-        while True:
-            self._drain_summaries()
-            alive = {
-                i: p for i, p in self._children.items() if p.is_alive()
-            }
-            if not alive:
-                break
-            if not self._draining:
-                for index, process in list(self._children.items()):
-                    if process.is_alive():
-                        continue
-                    code = process.exitcode
-                    self._crashes += 1
-                    failed = failed or self._crashes > self.crash_budget
-                    sys.stderr.write(
-                        f"repro-serve[{index}] exited "
-                        f"unexpectedly (code {code}); "
-                        + (
-                            "respawning\n"
-                            if self._crashes <= self.crash_budget
-                            else "crash budget exhausted\n"
-                        )
-                    )
-                    if self._crashes <= self.crash_budget:
-                        self._spawn(index)
-            time.sleep(0.2)
-        self._drain_summaries(final=True)
+        pool = self._pool
+        bad_exit = False
+        while pool.workers:
+            messages, deaths, _ = pool.wait()
+            for worker, message in messages:
+                self._report(worker, message)
+            for worker in deaths:
+                if self._draining:
+                    bad_exit = bad_exit or worker.exitcode != 0
+                    continue
+                respawned = pool.replace(worker) is not None
+                self._failed = self._failed or not respawned
+                sys.stderr.write(
+                    f"repro-serve[{worker.slot}] exited unexpectedly "
+                    f"(code {worker.exitcode}); "
+                    + ("respawning\n" if respawned
+                       else "crash budget exhausted\n")
+                )
+                if self._draining:
+                    # The drain began mid-spawn and missed this child.
+                    pool.supervisor.signal(signal.SIGTERM)
         lost = self.admitted - self.completed
         print(
             f"drained: admitted={self.admitted} "
@@ -322,50 +305,20 @@ class PreforkServer:
             f"processes={self.processes}",
             flush=True,
         )
-        bad_exit = any(
-            p.exitcode not in (0, None) for p in self._children.values()
-        )
         self._cleanup()
-        return 1 if (failed or bad_exit or lost != 0) else 0
-
-    def _drain_summaries(self, final: bool = False) -> None:
-        while True:
-            try:
-                index, admitted, completed = self._summary_queue.get(
-                    timeout=0.5 if final else 0.0
-                )
-            except Exception:
-                if not final:
-                    return
-                # One extra grace read, then give up.
-                try:
-                    index, admitted, completed = self._summary_queue.get(
-                        timeout=1.0
-                    )
-                except Exception:
-                    return
-            self.summaries[index] = (admitted, completed)
-            self.admitted = sum(a for a, _ in self.summaries.values())
-            self.completed = sum(c for _, c in self.summaries.values())
+        return 1 if (self._failed or bad_exit or lost != 0) else 0
 
     def drain(self, timeout: Optional[float] = None) -> int:
-        """:meth:`begin_drain` + :meth:`run_forever` with a bound."""
+        """:meth:`begin_drain` + :meth:`run_forever`.  Each child bounds
+        its own drain by the drain grace; ``timeout`` is accepted for
+        compatibility and ignored."""
         self.begin_drain()
-        budget = (
-            self.config.drain_grace + 10.0 if timeout is None else timeout
-        )
-        deadline = time.monotonic() + budget
-        for process in self._children.values():
-            process.join(timeout=max(0.1, deadline - time.monotonic()))
         return self.run_forever()
 
     def kill(self) -> None:
         """Immediate teardown (boot failures, tests)."""
-        for process in self._children.values():
-            if process.is_alive():
-                process.terminate()
-        for process in self._children.values():
-            process.join(timeout=2.0)
+        if self._pool is not None:
+            self._pool.stop(grace=0.0)
         self._cleanup()
 
     def _cleanup(self) -> None:
@@ -375,12 +328,6 @@ class PreforkServer:
         if self._listener is not None:
             self._listener.close()
             self._listener = None
-        for q in (self._ready_queue, self._summary_queue):
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except Exception:
-                pass
         if self._own_journal is not None:
             try:
                 os.unlink(self._own_journal)

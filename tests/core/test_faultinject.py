@@ -154,8 +154,9 @@ class TestMidChunkCrash:
     ):
         # One worker, one chunk holding the whole batch, victim in the
         # middle: the documents before it were already reported when
-        # the worker dies; the victim and the tail re-run in quarantine,
-        # which must blame exactly the victim.
+        # the worker dies; the victim re-runs alone on a fresh worker
+        # and the tail is dispatched again, which must blame exactly
+        # the victim.
         names = ["m0", "m1", "mKILLMID", "m3", "m4", "m5"]
         paths = write_valid_pos(tmp_path, names)
         ordered = sorted(paths.values())

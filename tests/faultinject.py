@@ -119,6 +119,64 @@ def arm_fuse(path: str) -> None:
         handle.write("armed")
 
 
+# -- process-level faults ----------------------------------------------------
+#
+# SIGKILL chaos from outside the program, the way an OOM killer or an
+# operator kills: the suites find worker processes through Linux
+# ``/proc`` (and skip where it is absent), kill them, and check the
+# supervisor notices, replaces, and answers.
+
+HAS_PROC = os.path.isdir("/proc/self/task")
+
+
+def process_state(pid: int):
+    """The ``/proc/<pid>/stat`` state letter, or ``None`` once reaped."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return None
+
+
+def child_pids(pid: int) -> set:
+    """Live (not zombie) children of ``pid``.  A child is listed under
+    the thread that forked it, so every thread's list is read."""
+    pids = set()
+    for task in os.listdir(f"/proc/{pid}/task"):
+        try:
+            with open(f"/proc/{pid}/task/{task}/children",
+                      encoding="ascii") as handle:
+                pids.update(int(field) for field in handle.read().split())
+        except OSError:
+            continue
+    return {p for p in pids if process_state(p) not in (None, "Z", "X")}
+
+
+def wait_until(predicate, timeout: float, step: float = 0.01):
+    """Poll ``predicate`` until it returns a truthy value (returned) or
+    ``timeout`` passes (``None``)."""
+    import time
+
+    deadline = time.monotonic() + timeout
+    while True:
+        value = predicate()
+        if value or time.monotonic() >= deadline:
+            return value or None
+        time.sleep(step)
+
+
+def sigkill_and_wait(pid: int, timeout: float = 5.0) -> None:
+    """SIGKILL ``pid`` and return once it has exited (zombie or
+    reaped), so its pipes and sockets are already closed."""
+    import signal
+
+    os.kill(pid, signal.SIGKILL)
+    dead = wait_until(
+        lambda: process_state(pid) in (None, "Z", "X"), timeout
+    )
+    assert dead, f"pid {pid} still running after SIGKILL"
+
+
 # -- service-level fault clients ----------------------------------------------
 #
 # Raw-socket HTTP clients for attacks urllib cannot express: lying
