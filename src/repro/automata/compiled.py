@@ -24,9 +24,7 @@ schema pair, so the artifacts amortize over every document validated:
 
 ``rows``/``finals_mask``/``ia_mask``/``ir_mask`` remain available as
 lazily derived tuple views for construction-time code, tests and
-introspection; hot paths walk ``flat``/``flags`` directly or hand them
-to the optional compiled backend (:mod:`repro.kernel`), which performs
-the identical walk in C.
+introspection; hot paths walk ``flat``/``flags`` directly.
 
 The interning is bijective, so every compiled run recognizes exactly
 the language of the source automaton (word accepted iff its image under
@@ -39,7 +37,6 @@ from __future__ import annotations
 from array import array
 from typing import Any, Iterable, Iterator, KeysView, Optional, Sequence
 
-from repro import kernel as _kernel
 from repro.automata.dfa import DFA
 from repro.automata.immediate import ImmediateDecisionAutomaton
 
@@ -247,11 +244,6 @@ class CompiledDFA:
         """The state reached on an interned word, or ``-1`` once any
         symbol falls outside the automaton's alphabet."""
         state = self.start if start is None else start
-        c = _kernel.C
-        if c is not None:
-            if not isinstance(ids, (list, tuple)):
-                ids = list(ids)
-            return c.dfa_run(self.flat, self.width, state, ids)
         flat = self.flat
         width = self.width
         for sid in ids:
@@ -392,11 +384,6 @@ class CompiledImmediate:
     def decide(self, ids: Iterable[int], start: Optional[int] = None) -> bool:
         """The scan verdict alone — the stats-free hot path."""
         state = self.start if start is None else start
-        c = _kernel.C
-        if c is not None:
-            if not isinstance(ids, (list, tuple)):
-                ids = list(ids)
-            return c.imm_decide(self.flat, self.flags, self.width, state, ids)
         flat = self.flat
         width = self.width
         flags = self.flags
@@ -425,11 +412,6 @@ class CompiledImmediate:
         """``(accepted, symbols_scanned, early, state)`` with the same
         counting semantics as the dict-based ``scan``."""
         state = self.start if start is None else start
-        c = _kernel.C
-        if c is not None:
-            if not isinstance(ids, (list, tuple)):
-                ids = list(ids)
-            return c.imm_scan(self.flat, self.flags, self.width, state, ids)
         flat = self.flat
         width = self.width
         flags = self.flags

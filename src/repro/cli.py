@@ -740,6 +740,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_gen_po(args: argparse.Namespace) -> int:
     from repro.workloads.purchase_orders import make_purchase_order
 
+    if args.items < 0:
+        print(f"error: items must be >= 0, got {args.items}", file=sys.stderr)
+        return 2
     document = make_purchase_order(args.items)
     if args.output:
         size = write_file(document, args.output)
@@ -825,7 +828,13 @@ def build_parser() -> argparse.ArgumentParser:
         "compose every hop into one pair and cast S1-valid documents "
         "against Sn in a single fused pass (replaces --source/--target)",
     )
-    cast.add_argument("--stats", action="store_true")
+    cast.add_argument(
+        "--stats",
+        action="store_true",
+        help="print the revalidation counters: nodes visited, subtrees "
+        "skipped, disjoint rejections, content symbols read, early "
+        "verdicts and memo hits",
+    )
     cast.add_argument(
         "--recursive",
         action="store_true",

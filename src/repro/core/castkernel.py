@@ -14,19 +14,18 @@ dispatch, no per-event attribute access.
 
 On top of the fused walk sits the *leaf fast path*: an attribute-free
 element holding only entity- and bracket-free text (the dominant node
-shape of data-oriented XML) is consumed by a single C-level match
-(:data:`~repro.xmltree.lexer.LEAF_RE`, or the compiled backend's
-``leaf_scan``) and validated in place — start tag, value and end tag
-never become separate tokens.
+shape of data-oriented XML) is consumed by a single regex match
+(:data:`~repro.xmltree.lexer.LEAF_RE`) and validated in place — start
+tag, value and end tag never become separate tokens.
 
 Semantics are byte-identical to the event pipeline — same verdicts,
 same failure messages and Dewey paths, same
 :class:`~repro.core.result.ValidationStats` counters, same guard
 behaviour (document size, depth, entities, deadline ticks once per
-start tag) — asserted by ``tests/core/test_kernel_equivalence.py``
-across both kernel backends.  The only tolerated divergence is
-wall-clock deadline *granularity* on skipped regions (the byte skim
-ticks per skimmed tag, the leaf path once per leaf).
+start tag) — asserted by ``tests/core/test_kernel_equivalence.py``.
+The only tolerated divergence is wall-clock deadline *granularity* on
+skipped regions (the byte skim ticks per skimmed tag, the leaf path
+once per leaf).
 
 Both skip modes of the event pipeline are fused here: ``byte_skip``
 skims subsumed subtrees at the byte level via
@@ -37,7 +36,6 @@ tokens with well-formedness checks only (the event path's
 
 from __future__ import annotations
 
-from repro import kernel as _kernel
 from repro.core.result import ValidationReport, ValidationStats
 from repro.core.validator import attribute_violation_parts
 from repro.guards import check_depth, check_document_size
@@ -108,8 +106,6 @@ def _run(pair, limits, text, byte_skip, trusted):
     limits_ = scanner.limits
     next_content_match = scanner.next_content_match
     start_tag_parts = scanner.start_tag_parts
-    c = _kernel.C
-    leaf_scan = c.leaf_scan if c is not None else None
     leaf_match = LEAF_RE.match
     ws_match = XML_WS_RE.match
     end_match = END_TAG_RE.match
@@ -216,15 +212,7 @@ def _run(pair, limits, text, byte_skip, trusted):
                     if wend < n and src[wend] == "<":
                         lpos = wend
             if src[lpos] == "<":
-                if leaf_scan is not None:
-                    leaf = leaf_scan(src, lpos)
-                else:
-                    m = leaf_match(src, lpos)
-                    leaf = (
-                        None
-                        if m is None
-                        else (m.group(1), m.group(2), m.start(2), m.end())
-                    )
+                leaf = leaf_match(src, lpos)
             else:
                 leaf = None
                 lpos = pos
@@ -235,7 +223,7 @@ def _run(pair, limits, text, byte_skip, trusted):
                     if deadline is not None:
                         deadline.tick()
                     del text_parts[:]
-                    scanner.pos = leaf[3]
+                    scanner.pos = leaf.end()
                     continue
                 top = vstack[-1]
                 rec_p = top[_REC]
@@ -249,7 +237,9 @@ def _run(pair, limits, text, byte_skip, trusted):
                         check_depth(len(parse_stack) + 1, limits_)
                     if deadline is not None:
                         deadline.tick()
-                    name, value, value_start, end = leaf
+                    name, value = leaf.group(1, 2)
+                    value_start = leaf.start(2)
+                    end = leaf.end()
                     scanner.pos = end
                     sid = ids.get(name, -1)
                     position = top[_CHILDREN]

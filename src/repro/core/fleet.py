@@ -536,8 +536,7 @@ class WorkerFleet:
     transported pair, and per-worker memos all persist across calls —
     that persistence is the warm-pool speedup the fleet benchmark
     gates.  Workers run on :class:`~repro.core.supervisor.JobPool`, so
-    each one holds at most one chunk and ``max_inflight_chunks`` has
-    nothing left to bound; it is accepted and ignored.
+    each one holds at most one chunk.
     """
 
     def __init__(
@@ -549,7 +548,6 @@ class WorkerFleet:
         start_method: Optional[str] = None,
         artifact_path: Optional[str] = None,
         chunk_size: Optional[int] = None,
-        max_inflight_chunks: Optional[int] = None,
         warm: bool = True,
     ):
         if jobs < 1:

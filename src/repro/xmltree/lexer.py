@@ -100,12 +100,10 @@ CDATA_RE = re.compile(r"<!\[CDATA\[(?P<cdata>.*?)\]\]>", re.DOTALL)
 PI_RE = re.compile(r"<\?(?P<pi>.*?)\?>", re.DOTALL)
 
 #: Leaf fast path: an attribute-free start tag, entity-free and
-#: bracket-free text, and the matching close tag — one C-level match
+#: bracket-free text, and the matching close tag — one regex match
 #: consumes a whole leaf element.  ``]`` is excluded from the text so
 #: the ``]]>``-in-character-data check stays on the general path; a
-#: declined match costs one failed anchor and falls through.  The
-#: compiled kernel backend implements the same acceptance in C
-#: (``leaf_scan``), asserted equal by the kernel self-test and fuzzer.
+#: declined match costs one failed anchor and falls through.
 LEAF_RE = re.compile(
     r"<(" + NAME_PATTERN + r")>([^<&\]]*)</\1[ \t\r\n]*>"
 )

@@ -215,6 +215,15 @@ class TestRelationsAndGen:
         assert code == 0
         assert "<purchaseOrder>" in capsys.readouterr().out
 
+    def test_gen_po_negative_items_is_usage_error(self, workspace, capsys):
+        out_path = workspace / "neg.xml"
+        code = main(["gen-po", "-3", "-o", str(out_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "error: items must be >= 0, got -3"
+        assert captured.out == ""
+        assert not out_path.exists()
+
 
 class TestErrors:
     def test_missing_file(self, workspace, capsys):
